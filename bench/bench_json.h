@@ -97,15 +97,13 @@ class Recorder {
                      "\"projects_inserted\": %lld, "
                      "\"expressions_folded\": %lld, "
                      "\"joins_reordered\": %lld, "
-                     "\"estimated_rows_root\": %lld, "
-                     "\"ops_lowered\": %lld",
+                     "\"estimated_rows_root\": %lld",
                      static_cast<long long>(e.opt.selections_pushed),
                      static_cast<long long>(e.opt.intents_recognized),
                      static_cast<long long>(e.opt.projects_inserted),
                      static_cast<long long>(e.opt.expressions_folded),
                      static_cast<long long>(e.opt.joins_reordered),
-                     static_cast<long long>(e.opt.estimated_rows_root),
-                     static_cast<long long>(e.opt.ops_lowered));
+                     static_cast<long long>(e.opt.estimated_rows_root));
       }
       std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
     }

@@ -832,7 +832,8 @@ Result<Column> DecodeInt64Payload(std::string_view payload, uint8_t enc,
     }
     v.resize(n);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v.data(), payload.data(), payload.size());
+      // n == 0 leaves both pointers possibly null, which memcpy forbids.
+      if (n > 0) std::memcpy(v.data(), payload.data(), payload.size());
     } else {
       ByteReader pr(payload);
       for (size_t i = 0; i < n; ++i) v[i] = pr.I64().ValueOrDie();
@@ -892,7 +893,8 @@ Result<Column> DecodeFloat64Payload(std::string_view payload, uint8_t enc,
     }
     v.resize(n);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v.data(), payload.data(), payload.size());
+      // n == 0 leaves both pointers possibly null, which memcpy forbids.
+      if (n > 0) std::memcpy(v.data(), payload.data(), payload.size());
     } else {
       ByteReader pr(payload);
       for (size_t i = 0; i < n; ++i) v[i] = pr.F64().ValueOrDie();

@@ -1,6 +1,6 @@
 // SpillChunkPager: the NXB1-backed ChunkPager. Evicted NDArray chunks are
 // serialized through the same wire format and scratch-file machinery the
-// relational/algebra spill paths use — one RAII SpillFile per parked chunk,
+// relational spill paths use — one RAII SpillFile per parked chunk,
 // unlinked on fault-in, drop, or pager destruction. This is what lets the
 // array engine's big-op results (regrid, window, element-wise merges) obey
 // the same memory budget as hash joins: chunks beyond the budget park on

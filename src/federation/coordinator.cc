@@ -1359,9 +1359,6 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
   auto& mreg = telemetry::MetricsRegistry::Global();
   telemetry::Counter* compiles_c = mreg.counter("expr.compile");
   telemetry::Counter* compile_hits_c = mreg.counter("expr.compile_cache_hit");
-  telemetry::Counter* lowered_c = mreg.counter("algebra.ops_lowered");
-  telemetry::Counter* alg_join_c = mreg.counter("algebra.join");
-  telemetry::Counter* alg_union_c = mreg.counter("algebra.union");
   telemetry::Counter* spill_ops_c = mreg.counter("spill.ops");
   telemetry::Counter* spill_parts_c = mreg.counter("spill.partitions");
   telemetry::Counter* spill_bytes_c = mreg.counter("spill.bytes_written");
@@ -1370,9 +1367,6 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
   telemetry::Counter* ivm_rows_c = mreg.counter("incremental.delta_rows");
   const int64_t compiles0 = compiles_c->value();
   const int64_t compile_hits0 = compile_hits_c->value();
-  const int64_t lowered0 = lowered_c->value();
-  const int64_t alg_join0 = alg_join_c->value();
-  const int64_t alg_union0 = alg_union_c->value();
   const int64_t spill_ops0 = spill_ops_c->value();
   const int64_t spill_parts0 = spill_parts_c->value();
   const int64_t spill_bytes0 = spill_bytes_c->value();
@@ -1382,9 +1376,6 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
   auto result = Execute(plan, m);
   const int64_t compiles = compiles_c->value() - compiles0;
   const int64_t compile_hits = compile_hits_c->value() - compile_hits0;
-  const int64_t lowered = lowered_c->value() - lowered0;
-  const int64_t alg_joins = alg_join_c->value() - alg_join0;
-  const int64_t alg_unions = alg_union_c->value() - alg_union0;
   const int64_t spill_ops = spill_ops_c->value() - spill_ops0;
   const int64_t spill_parts = spill_parts_c->value() - spill_parts0;
   const int64_t spill_bytes = spill_bytes_c->value() - spill_bytes0;
@@ -1409,12 +1400,6 @@ Result<std::string> Coordinator::ExplainAnalyze(const PlanPtr& plan,
   if (compiles + compile_hits > 0) {
     report += StrCat("expr: ", compiles, " compiled / ", compile_hits,
                      " program-cache hits\n");
-  }
-  // Semi-ring lowering summary: operators the engines routed through the
-  // shared algebra kernels this execution (desideratum: one algebra).
-  if (lowered + alg_joins + alg_unions > 0) {
-    report += StrCat("algebra: ", lowered, " ops lowered (", alg_joins,
-                     " join⊗ / ", alg_unions, " union⊕ kernel calls)\n");
   }
   // Out-of-core summary: Grace partitions written by operators whose
   // working set crossed the budget this execution.

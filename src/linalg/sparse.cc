@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "common/str_util.h"
 #include "telemetry/telemetry.h"
 
@@ -25,10 +23,8 @@ Result<SparseMatrixCSR> SparseMatrixCSR::FromTriplets(
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
   // Explicit zeros are *kept*: a 0-valued triplet (and duplicates summing to
-  // exactly 0) stays a stored entry. The semi-ring contract only requires
-  // that absent entries behave as the ring zero — stored zeros must flow
-  // through SpMV/SpGEMM like any value (they contribute ±0.0 terms), which
-  // the algebra-routed paths below reproduce term-for-term.
+  // exactly 0) stays a stored entry and flows through SpMV/SpGEMM like any
+  // value (it contributes ±0.0 terms).
   SparseMatrixCSR m;
   m.rows_ = rows;
   m.cols_ = cols;
@@ -56,14 +52,6 @@ Result<std::vector<double>> SparseMatrixCSR::SpMV(
   if (static_cast<int64_t>(x.size()) != cols_) {
     return Status::InvalidArgument("SpMV shape mismatch");
   }
-  if (algebra::SemiringLoweringEnabled()) {
-    // Lowered path: y = A·x as Join⊕ over plus_times. Byte-identical to the
-    // CSR loop below (same terms, same k-ascending fold order, zero-seeded
-    // sums; empty rows stay 0.0); any refusal falls back to the native loop.
-    Result<std::vector<double>> via =
-        algebra::SpMVViaJoin(ToTriplets(), rows_, x);
-    if (via.ok()) return via;
-  }
   std::vector<double> y(static_cast<size_t>(rows_), 0.0);
   for (int64_t r = 0; r < rows_; ++r) {
     double s = 0.0;
@@ -82,15 +70,6 @@ Result<SparseMatrixCSR> SparseMatrixCSR::SpGEMM(const SparseMatrixCSR& b) const 
   span.AddCounter("nnz_left", static_cast<int64_t>(values_.size()));
   if (cols_ != b.rows_) {
     return Status::InvalidArgument("SpGEMM shape mismatch");
-  }
-  if (algebra::SemiringLoweringEnabled()) {
-    // Lowered path: C = A·B as Join⊕ over plus_times. Per output cell the
-    // fold runs in the same k-ascending order as the workspace scatter
-    // below, so results are byte-identical (exact-zero outputs dropped by
-    // both); any refusal falls back to the native Gustavson loop.
-    Result<std::vector<Triplet>> via =
-        algebra::SpGEMMViaJoin(ToTriplets(), b.ToTriplets());
-    if (via.ok()) return FromTriplets(rows_, b.cols_, std::move(*via));
   }
   // Gustavson: per output row, scatter-accumulate into a dense workspace.
   std::vector<double> workspace(static_cast<size_t>(b.cols_), 0.0);

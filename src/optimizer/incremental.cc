@@ -104,8 +104,7 @@ std::unique_ptr<DeltaNode> Rewrite(const PlanPtr& plan, bool at_root,
       for (const AggSpec& a : op.aggs) {
         if (a.func == AggFunc::kAvg) {
           *refusal =
-              "AVG is not a single ⊕-fold (mirrors algebra::"
-              "AggregateLowerable)";
+              "AVG is not a single ⊕-fold (sum and count fold apart)";
           return nullptr;
         }
       }
@@ -157,6 +156,7 @@ const char* DeltaKindName(DeltaKind kind) {
 
 DeltaForm RewriteToDelta(const PlanPtr& plan) {
   DeltaForm form;
+  form.plan = plan;
   form.root = Rewrite(plan, /*at_root=*/true, &form.refusal);
   return form;
 }

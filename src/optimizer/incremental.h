@@ -12,7 +12,7 @@
 // that cannot be maintained bit-exactly is not maintained at all):
 //   outer/semi/anti join   unmatched rows need retraction when a match lands
 //   keys-free (cross) join delta of |L|·|R| is not proportional to |Δ|
-//   AVG                    not a single ⊕-fold (algebra::AggregateLowerable)
+//   AVG                    not a single ⊕-fold (sum and count fold apart)
 //   aggregate below root   its output changes by update, not by append
 //   Sort/Limit/Distinct/…  appends land mid-order: output is not append-only
 #ifndef NEXUS_OPTIMIZER_INCREMENTAL_H_
@@ -45,12 +45,14 @@ const char* DeltaKindName(DeltaKind kind);
 /// One node of the delta form, mirroring the view plan's shape.
 struct DeltaNode {
   DeltaKind kind;
-  const Plan* plan = nullptr;  ///< the view plan node this maintains
+  const Plan* plan = nullptr;  ///< the view plan node this maintains;
+                               ///< owned by DeltaForm::plan
   std::vector<std::unique_ptr<DeltaNode>> children;
 };
 
 /// Result of the rewrite: a delta tree, or the refusal that stopped it.
 struct DeltaForm {
+  PlanPtr plan;  ///< the rewritten plan; keeps every DeltaNode::plan alive
   std::unique_ptr<DeltaNode> root;
   std::string refusal;  ///< why root is null; empty when supported
   bool supported() const { return root != nullptr; }

@@ -10,10 +10,8 @@
 #include "core/schema_inference.h"
 #include "expr/builder.h"
 #include "optimizer/cardinality.h"
-#include "algebra/semiring.h"
 #include "optimizer/fold.h"
 #include "optimizer/join_order.h"
-#include "optimizer/lower_semiring.h"
 
 namespace nexus {
 
@@ -67,12 +65,6 @@ class Optimizer {
     }
     if (options_.recognize_intent) {
       NEXUS_ASSIGN_OR_RETURN(p, RecognizePass(p));
-    }
-    if (options_.lower_semiring && algebra::SemiringLoweringEnabled() &&
-        stats_ != nullptr) {
-      // After intent recognition, so recovered MatMul/PageRank nodes count.
-      // Recognition only: the engines do the actual routing at execution.
-      stats_->ops_lowered = CountLowerableOps(*p);
     }
     if (options_.prune_columns) {
       NEXUS_ASSIGN_OR_RETURN(p, Prune(p, std::nullopt));

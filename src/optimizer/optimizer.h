@@ -27,9 +27,6 @@ struct OptimizerOptions {
   /// Cost-based join reordering over catalog statistics (E14's knob).
   bool reorder_joins = true;
   bool recognize_intent = true;
-  /// Recognition of semi-ring-lowerable operators (optimizer/lower_semiring.h).
-  /// Also gated process-wide by algebra::SemiringLoweringEnabled().
-  bool lower_semiring = true;
   bool prune_columns = true;
   /// Fixpoint bound for the pushdown pass.
   int max_passes = 10;
@@ -45,9 +42,6 @@ struct OptimizerStats {
   int64_t joins_reordered = 0;
   /// Estimated root cardinality of the optimized plan (-1: inestimable).
   int64_t estimated_rows_root = 0;
-  /// Operators the engines will route through the semi-ring kernels
-  /// (aggregate ⊕-folds, sparse multiplies, PageRank steps).
-  int64_t ops_lowered = 0;
 };
 
 /// Rewrites `plan` under the given options. The result type-checks to the

@@ -1,9 +1,7 @@
 // The array provider ("arraydb"): executes dimension-aware operators
-// chunk-natively. Purely relational operators (join, sort, aggregate, …)
-// are not claimed — the planner combines this provider with relstore for
-// mixed plans.
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
+// chunk-natively. Aggregate runs on relational::HashAggregate; other purely
+// relational operators (join, sort, …) are not claimed — the planner
+// combines this provider with relstore for mixed plans.
 #include "arraydb/engine.h"
 #include "exec/reference_executor.h"
 #include "provider/provider.h"
@@ -39,11 +37,8 @@ class ArrayProvider : public Provider {
       case OpKind::kElemWise:
       case OpKind::kIterate:
       case OpKind::kExchange:
-        return true;
       case OpKind::kAggregate:
-        // Semi-ring lowering lets arraydb run ⊕-fold aggregates through the
-        // shared algebra kernels — byte-identical on every engine.
-        return algebra::SemiringLoweringEnabled();
+        return true;
       default:
         return false;
     }
@@ -103,11 +98,6 @@ Result<Dataset> ArrayProvider::ExecNode(const Plan& plan) {
       NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
       const auto& spec = plan.As<AggregateOp>();
-      if (algebra::SemiringLoweringEnabled() &&
-          algebra::AggregateLowerable(spec)) {
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-        return Dataset(out);
-      }
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::HashAggregate(in, spec));
       return Dataset(out);
     }

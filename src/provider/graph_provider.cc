@@ -1,8 +1,6 @@
 // The graph provider ("graphd"): claims PageRank natively via the CSR
 // analytics engine — the provider with a "direct implementation" that
 // Intent Preservation (desideratum 3) exists to reach.
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "graph/graph.h"
 #include "provider/provider.h"
 #include "relational/engine.h"
@@ -26,11 +24,8 @@ class GraphProvider : public Provider {
       case OpKind::kValues:
       case OpKind::kPageRank:
       case OpKind::kExchange:
-        return true;
       case OpKind::kAggregate:
-        // Semi-ring lowering lets graphd run ⊕-fold aggregates through the
-        // shared algebra kernels — byte-identical on every engine.
-        return algebra::SemiringLoweringEnabled();
+        return true;
       default:
         return false;
     }
@@ -67,12 +62,6 @@ class GraphProvider : public Provider {
         NEXUS_ASSIGN_OR_RETURN(Dataset in_ds, Exec(*plan.child(0)));
         NEXUS_ASSIGN_OR_RETURN(TablePtr in, in_ds.AsTable());
         const auto& spec = plan.As<AggregateOp>();
-        if (algebra::SemiringLoweringEnabled() &&
-            algebra::AggregateLowerable(spec)) {
-          NEXUS_ASSIGN_OR_RETURN(TablePtr out,
-                                 algebra::LowerAggregate(in, spec));
-          return Dataset(out);
-        }
         NEXUS_ASSIGN_OR_RETURN(TablePtr out,
                                relational::HashAggregate(in, spec));
         return Dataset(out);

@@ -4,8 +4,6 @@
 // transpose → column reorder, elemwise → join), and intent operators are
 // claimed via their relational expansions — the "combination of systems"
 // half of desideratum 2.
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "common/str_util.h"
 #include "core/expansion.h"
 #include "exec/reference_executor.h"
@@ -181,14 +179,6 @@ Result<Dataset> RelationalProvider::ExecNode(const Plan& plan) {
     case OpKind::kAggregate: {
       NEXUS_ASSIGN_OR_RETURN(TablePtr in, ExecT(*plan.child(0)));
       const auto& spec = plan.As<AggregateOp>();
-      // Semi-ring routing: SUM/MIN/MAX/COUNT folds run on the shared
-      // algebra kernel (byte-identical to HashAggregate); AVG and disabled
-      // lowering take the native engine.
-      if (algebra::SemiringLoweringEnabled() &&
-          algebra::AggregateLowerable(spec)) {
-        NEXUS_ASSIGN_OR_RETURN(TablePtr out, algebra::LowerAggregate(in, spec));
-        return Dataset(out);
-      }
       NEXUS_ASSIGN_OR_RETURN(TablePtr out, relational::HashAggregate(in, spec));
       return Dataset(out);
     }

@@ -481,7 +481,13 @@ struct TypedAggState {
 
   void UpdateNumeric(double v, int64_t iv, bool is_int) {
     ++count;
-    if (is_int) isum += iv;
+    // Wrapping add: isum is accumulated even for MIN/MAX-only aggregates,
+    // whose inputs may overflow a sum that nobody reads. Sums that fit in
+    // int64 are unchanged.
+    if (is_int) {
+      isum = static_cast<int64_t>(static_cast<uint64_t>(isum) +
+                                  static_cast<uint64_t>(iv));
+    }
     fsum += v;
     if (!has_extreme) {
       fmin = fmax = v;

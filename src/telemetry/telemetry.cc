@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 
 #include "common/parallel.h"
@@ -24,7 +25,7 @@ std::atomic<uint64_t> g_next_trace{1};
 
 std::mutex g_mu;
 std::vector<SpanRecord> g_spans;                 // finished spans
-std::function<double()> g_sim_clock;             // guarded by g_mu
+std::shared_ptr<const std::function<double()>> g_sim_clock;  // guarded by g_mu
 std::atomic<bool> g_has_sim_clock{false};        // fast-path gate
 
 // Per-thread context: the trace and span new work attaches under, plus the
@@ -50,8 +51,14 @@ std::chrono::steady_clock::time_point Epoch() {
 
 double SimNowSeconds() {
   if (!g_has_sim_clock.load(std::memory_order_acquire)) return 0.0;
-  std::lock_guard<std::mutex> lock(g_mu);
-  return g_sim_clock ? g_sim_clock() : 0.0;
+  std::shared_ptr<const std::function<double()>> clock;
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    clock = g_sim_clock;
+  }
+  // Called after unlocking: the clock takes the transport's lock, and
+  // Transport::Send records spans (taking g_mu) while holding it.
+  return clock ? (*clock)() : 0.0;
 }
 
 void Record(SpanRecord&& rec) {
@@ -163,7 +170,10 @@ int64_t SpanCount() {
 void SetSimulatedClock(std::function<double()> seconds_fn) {
   std::lock_guard<std::mutex> lock(g_mu);
   g_has_sim_clock.store(seconds_fn != nullptr, std::memory_order_release);
-  g_sim_clock = std::move(seconds_fn);
+  g_sim_clock = seconds_fn != nullptr
+                    ? std::make_shared<const std::function<double()>>(
+                          std::move(seconds_fn))
+                    : nullptr;
 }
 
 ScopedSimClock::ScopedSimClock(std::function<double()> seconds_fn) {

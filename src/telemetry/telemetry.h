@@ -86,7 +86,8 @@ int64_t SpanCount();
 
 /// Installs the simulated-clock source (seconds), typically the federation
 /// transport's clock; pass nullptr to uninstall. Only consulted while
-/// tracing is enabled.
+/// tracing is enabled. The clock is called with no telemetry lock held, so
+/// a call already in flight may finish after the clock is replaced.
 void SetSimulatedClock(std::function<double()> seconds_fn);
 
 /// RAII install/uninstall of the simulated clock around an execution.

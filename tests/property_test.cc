@@ -14,14 +14,11 @@
 //   P7  compile equivalence:   bytecode VM ≡ vectorized interpreter ≡ row
 //                              interpreter on random expressions (nulls,
 //                              3VL, conditionals, strings), byte-identical
-//   P8  algebra equivalence:   random associative-array programs on the
-//                              semi-ring kernels ≡ direct scalar folds, for
-//                              every registered ring, at 1 and 4 threads
-//   P9  out-of-core identity:  join / aggregate / semi-ring reduce with
-//                              spilling forced under randomized budgets
-//                              (including ones forcing recursive
-//                              repartition) ≡ the in-memory result,
-//                              byte-identical at 1 and 4 threads
+//   P9  out-of-core identity:  join / aggregate with spilling forced
+//                              under randomized budgets (including ones
+//                              forcing recursive repartition) ≡ the
+//                              in-memory result, byte-identical at 1 and
+//                              4 threads
 //   P10 incremental identity:  registered views refreshed over random
 //                              append batches ≡ full recompute of the same
 //                              plan, byte-identical at 1 and 4 threads —
@@ -30,9 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 
-#include "algebra/kernels.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/str_util.h"
@@ -599,114 +594,11 @@ TEST_P(ExprCompileTest, CompiledAndInterpretedAreByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExprCompileTest, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------------
-// P8: random associative-array programs over every registered semi-ring —
-// the generic Ext/Join/Union kernels versus direct scalar reference folds,
-// byte-identical (Table::Equals) at 1 and 4 threads.
-// ---------------------------------------------------------------------------
-
-algebra::AssocArray RandomAssoc(Rng* rng, int n) {
-  SchemaPtr s = MakeSchema({Field::Attr("k", DataType::kInt64),
-                            Field::Attr("v", DataType::kFloat64)});
-  TableBuilder b(s);
-  for (int i = 0; i < n; ++i) {
-    // Positive values: max_times is registered over the non-negative domain.
-    EXPECT_OK(b.AppendRow({I(rng->NextInt(0, 12)),
-                           F(rng->NextDouble(0.1, 2.0))}));
-  }
-  auto r = algebra::AssocArray::FromTable(b.Finish().ValueOrDie(), {"k"}, "v");
-  EXPECT_TRUE(r.ok()) << r.status();
-  return r.MoveValue();
-}
-
-/// One ⊕-step of the kernels' fold contract: `+`-folds accumulate from 0,
-/// other monoids seed from the first value; lifted rings fold ring-one.
-double RefFold(const algebra::Semiring& sr, bool seen, double acc, double v) {
-  double x = sr.lift ? sr.one_f : v;
-  if (sr.plus == algebra::MonoidOp::kAdd) return (seen ? acc : 0.0) + x;
-  return seen ? algebra::ApplyF(sr.plus, acc, x) : x;
-}
-
-/// Direct ⊕-collapse of (key, value) entries in first-seen key order.
-TablePtr RefNormalize(const std::vector<std::pair<int64_t, double>>& entries,
-                      const SchemaPtr& schema, const algebra::Semiring& sr) {
-  std::vector<int64_t> order;
-  std::map<int64_t, size_t> pos;
-  std::vector<double> acc;
-  for (const auto& [k, v] : entries) {
-    auto it = pos.find(k);
-    if (it == pos.end()) {
-      pos[k] = order.size();
-      order.push_back(k);
-      acc.push_back(RefFold(sr, false, 0.0, v));
-    } else {
-      acc[it->second] = RefFold(sr, true, acc[it->second], v);
-    }
-  }
-  std::vector<std::vector<Value>> rows;
-  for (size_t g = 0; g < order.size(); ++g) rows.push_back({I(order[g]), F(acc[g])});
-  return MakeTable(schema, rows);
-}
-
-std::vector<std::pair<int64_t, double>> AssocEntries(
-    const algebra::AssocArray& a) {
-  std::vector<std::pair<int64_t, double>> out;
-  for (int64_t r = 0; r < a.num_entries(); ++r) {
-    out.emplace_back(a.key_column(0).ints()[static_cast<size_t>(r)],
-                     a.value_column().doubles()[static_cast<size_t>(r)]);
-  }
-  return out;
-}
-
-class AssocProgramTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AssocProgramTest, KernelProgramsMatchDirectFoldsAcrossRegistry) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 1);
-  struct Guard {
-    int saved = GetThreadCount();
-    ~Guard() { SetThreadCount(saved); }
-  } guard;
-  algebra::AssocArray a = RandomAssoc(&rng, 200);
-  algebra::AssocArray b = RandomAssoc(&rng, 150);
-  const SchemaPtr schema = a.table()->schema();
-  for (const algebra::Semiring& sr : algebra::SemiringRegistry()) {
-    // Union⊕: concat a-then-b, ⊕-collapse in first-seen key order.
-    std::vector<std::pair<int64_t, double>> both = AssocEntries(a);
-    for (const auto& e : AssocEntries(b)) both.push_back(e);
-    TablePtr want_union = RefNormalize(both, schema, sr);
-    // Join⊗ then Reduce⊕: pairs in a-entry order with b-matches in b-entry
-    // order, each value va ⊗ vb (ring one ⊗ one when lifted).
-    std::vector<std::pair<int64_t, double>> pairs;
-    for (const auto& [ka, va] : AssocEntries(a)) {
-      for (const auto& [kb, vb] : AssocEntries(b)) {
-        if (ka != kb) continue;
-        double x = sr.lift ? algebra::ApplyF(sr.times, sr.one_f, sr.one_f)
-                           : algebra::ApplyF(sr.times, va, vb);
-        pairs.emplace_back(ka, x);
-      }
-    }
-    TablePtr want_join = RefNormalize(pairs, schema, sr);
-    for (int threads : {1, 4}) {
-      SetThreadCount(threads);
-      ASSERT_OK_AND_ASSIGN(algebra::AssocArray u, algebra::Union(a, b, sr));
-      EXPECT_TRUE(u.table()->Equals(*want_union))
-          << sr.name << " union, threads=" << threads;
-      ASSERT_OK_AND_ASSIGN(algebra::AssocArray j, algebra::Join(a, b, sr));
-      ASSERT_OK_AND_ASSIGN(algebra::AssocArray red,
-                           algebra::Reduce(j, {"k"}, sr));
-      EXPECT_TRUE(red.table()->Equals(*want_join))
-          << sr.name << " join+reduce, threads=" << threads;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AssocProgramTest, ::testing::Range(0, 6));
-
-// ---------------------------------------------------------------------------
-// P9: out-of-core identity. Joins, aggregations, and semi-ring reductions
-// with spilling forced under a randomized budget — drawn log-uniformly from
-// [1, 64 KiB], so most draws force partitioning and the smallest force
-// recursive repartition — are byte-identical (Table::Equals) to the
-// in-memory spill-off result at 1 and 4 threads.
+// P9: out-of-core identity. Joins and aggregations with spilling forced
+// under a randomized budget — drawn log-uniformly from [1, 64 KiB], so most
+// draws force partitioning and the smallest force recursive repartition —
+// are byte-identical (Table::Equals) to the in-memory spill-off result at 1
+// and 4 threads.
 // ---------------------------------------------------------------------------
 
 class SpillIdentityPropTest : public ::testing::TestWithParam<int> {};
@@ -745,13 +637,6 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
               AggSpec{AggFunc::kCount, nullptr, "n"},
               AggSpec{AggFunc::kMin, Col("v"), "lo"},
               AggSpec{AggFunc::kAvg, Col("v"), "mean"}};
-  const algebra::Semiring& ring =
-      algebra::SemiringRegistry()[static_cast<size_t>(
-          rng.NextInt(0, static_cast<int64_t>(
-                             algebra::SemiringRegistry().size()) - 1))];
-  ASSERT_OK_AND_ASSIGN(
-      algebra::AssocArray arr,
-      algebra::AssocArray::FromTable(left, {"k", "g"}, "v"));
 
   // In-memory baselines, sequential. Spill is pinned OFF (not merely
   // cleared) so a CI run that forces NEXUS_SPILL=1 process-wide still
@@ -760,8 +645,6 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
   SetThreadCount(1);
   ASSERT_OK_AND_ASSIGN(TablePtr join_want, relational::HashJoin(left, right, join));
   ASSERT_OK_AND_ASSIGN(TablePtr agg_want, relational::HashAggregate(left, agg));
-  ASSERT_OK_AND_ASSIGN(algebra::AssocArray red_want,
-                       algebra::Reduce(arr, {"g"}, ring));
 
   // Log-uniform budget: half the draws land under 256 bytes, forcing
   // recursive repartition; the rest spread up to 64 KiB.
@@ -776,11 +659,6 @@ TEST_P(SpillIdentityPropTest, SpilledExecutionIsByteIdenticalUnderAnyBudget) {
     ASSERT_OK_AND_ASSIGN(TablePtr agg_got, relational::HashAggregate(left, agg));
     EXPECT_TRUE(agg_got->Equals(*agg_want))
         << "aggregate, budget=" << budget << " threads=" << threads;
-    ASSERT_OK_AND_ASSIGN(algebra::AssocArray red_got,
-                         algebra::Reduce(arr, {"g"}, ring));
-    EXPECT_TRUE(red_got.table()->Equals(*red_want.table()))
-        << "reduce(" << ring.name << "), budget=" << budget
-        << " threads=" << threads;
   }
 }
 

@@ -4,6 +4,7 @@
 // (linalg, graphd). This is desideratum 2's executable statement.
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/expansion.h"
 #include "core/schema_inference.h"
@@ -113,6 +114,60 @@ TEST_F(ProviderTest, ClaimSetsAreDistinct) {
   EXPECT_FALSE(linalg_->Claims(OpKind::kSelect));
   EXPECT_TRUE(graphd_->Claims(OpKind::kPageRank));
   EXPECT_FALSE(graphd_->Claims(OpKind::kJoin));
+  // Every provider runs Aggregate (on relational::HashAggregate outside the
+  // reference executor).
+  for (const ProviderPtr& p : all_) {
+    EXPECT_TRUE(p->Claims(OpKind::kAggregate)) << p->name();
+  }
+}
+
+TEST_F(ProviderTest, AggregateIsIdenticalOnAllFiveProviders) {
+  // Grouped SUM/MIN/MAX/COUNT/AVG over int and float columns with nulls:
+  // every provider must return the reference table byte for byte (same
+  // group order, same float bits) at any thread count. 40k rows is above
+  // HashAggregate's two-morsel threshold, so 4 threads take the
+  // hash-partitioned path.
+  SchemaPtr s = MakeSchema({Field::Attr("g", DataType::kString),
+                            Field::Attr("q", DataType::kInt64),
+                            Field::Attr("p", DataType::kFloat64)});
+  TableBuilder b(s);
+  const char* groups[] = {"red", "green", "blue", "teal", "gold"};
+  for (int64_t r = 0; r < 40000; ++r) {
+    Value q = rng_->NextBounded(17) == 0 ? testing::N() : I(rng_->NextInt(-50, 50));
+    Value p = rng_->NextBounded(13) == 0 ? testing::N()
+                                         : F(rng_->NextDouble(-10.0, 10.0));
+    ASSERT_OK(b.AppendRow({testing::S(groups[rng_->NextInt(0, 4)]), q, p}));
+  }
+  ASSERT_OK_AND_ASSIGN(TablePtr sales, b.Finish());
+  for (const ProviderPtr& p : all_) {
+    ASSERT_OK(p->catalog()->Put("sales", Dataset(sales)));
+  }
+  PlanPtr plan = Plan::Aggregate(
+      Plan::Scan("sales"), {"g"},
+      {AggSpec{AggFunc::kSum, Col("q"), "sq"},
+       AggSpec{AggFunc::kSum, Col("p"), "sp"},
+       AggSpec{AggFunc::kMin, Col("p"), "lo"},
+       AggSpec{AggFunc::kMax, Col("q"), "hi"},
+       AggSpec{AggFunc::kCount, nullptr, "n"},
+       AggSpec{AggFunc::kAvg, Col("p"), "mean"}});
+
+  struct Guard {
+    int saved = GetThreadCount();
+    ~Guard() { SetThreadCount(saved); }
+  } guard;
+  for (int threads : {1, 4}) {
+    SetThreadCount(threads);
+    ASSERT_OK_AND_ASSIGN(Dataset want, reference_->Execute(*plan));
+    ASSERT_OK_AND_ASSIGN(TablePtr want_t, want.AsTable());
+    for (const ProviderPtr& p : all_) {
+      EXPECT_TRUE(p->ClaimsTree(*plan)) << p->name();
+      auto got = p->Execute(*plan);
+      ASSERT_TRUE(got.ok()) << p->name() << ": " << got.status();
+      ASSERT_OK_AND_ASSIGN(TablePtr got_t, got.ValueOrDie().AsTable());
+      EXPECT_TRUE(got_t->Equals(*want_t))
+          << p->name() << " differs from reference at threads=" << threads;
+    }
+  }
 }
 
 TEST_F(ProviderTest, RelationalPipeline) {

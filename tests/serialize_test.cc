@@ -247,8 +247,10 @@ TEST(Nxb1Test, AllColumnTypesWithNulls) {
 }
 
 TEST(Nxb1Test, EmptyTable) {
+  // Empty raw int64 and float64 columns decode with n == 0 (no bytes).
   SchemaPtr s = MakeSchema({Field::Attr("a", DataType::kInt64),
-                            Field::Attr("b", DataType::kString)});
+                            Field::Attr("b", DataType::kString),
+                            Field::Attr("c", DataType::kFloat64)});
   ExpectNxb1RoundTrip(Dataset(MakeTable(s, {})));
 }
 

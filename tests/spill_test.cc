@@ -1,7 +1,7 @@
 // Tests for the out-of-core subsystem: scratch-file RAII, the Grace
 // partitioner's coverage/recursion invariants, and — the acceptance
 // contract — byte-identity of spilled vs in-memory execution for the
-// relational and algebra operators at every thread count and budget.
+// relational operators at every thread count and budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,9 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "algebra/assoc_array.h"
-#include "algebra/kernels.h"
-#include "algebra/semiring.h"
 #include "arraydb/engine.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -26,8 +23,6 @@ namespace nexus {
 namespace {
 
 using namespace nexus::exprs;  // NOLINT
-using algebra::AssocArray;
-using algebra::Semiring;
 using spill::PartitionedSpiller;
 using spill::SpillFile;
 using spill::SpillInput;
@@ -48,12 +43,6 @@ struct SpillGuard {
     SetThreadCount(saved_threads);
   }
 };
-
-const Semiring& Ring(const std::string& name) {
-  const Semiring* s = algebra::FindSemiring(name);
-  EXPECT_NE(s, nullptr) << name;
-  return *s;
-}
 
 /// A mixed-type table with duplicate keys, null keys, and null payloads —
 /// the shapes that stress partition routing and merge order.
@@ -344,73 +333,6 @@ TEST(SpillIdentityTest, UngroupedAggregateIgnoresSpillPolicy) {
   spill::SetSpillBudgetOverride(1);
   ASSERT_OK_AND_ASSIGN(TablePtr got, relational::HashAggregate(input, op));
   EXPECT_TRUE(got->Equals(*expect));
-}
-
-// ---------------------------------------------------------------------------
-// Algebra byte-identity: ⊗-join and ⊕-reduce under the same budgets.
-// ---------------------------------------------------------------------------
-
-Result<AssocArray> RandomArray(uint64_t seed, int64_t rows, int64_t key_range) {
-  Rng rng(seed);
-  SchemaPtr schema = MakeSchema({Field::Attr("i", DataType::kInt64),
-                                 Field::Attr("j", DataType::kInt64),
-                                 Field::Attr("v", DataType::kFloat64)});
-  std::vector<std::vector<Value>> out;
-  for (int64_t r = 0; r < rows; ++r)
-    out.push_back({I(rng.NextInt(0, key_range - 1)),
-                   I(rng.NextInt(0, key_range - 1)),
-                   F(static_cast<double>(rng.NextInt(1, 16)))});
-  return AssocArray::FromTable(MakeTable(schema, out), {"i", "j"}, "v");
-}
-
-TEST(SpillIdentityTest, AlgebraJoinAndReduceMatchInMemory) {
-  SpillGuard guard;
-  const Semiring& sr = Ring("plus_times");
-  ASSERT_OK_AND_ASSIGN(AssocArray a, RandomArray(51, 350, 24));
-  ASSERT_OK_AND_ASSIGN(AssocArray b, RandomArray(52, 250, 24));
-
-  spill::SetSpillOverride(false);
-  SetThreadCount(1);
-  ASSERT_OK_AND_ASSIGN(AssocArray join_expect, algebra::Join(a, b, sr));
-  ASSERT_OK_AND_ASSIGN(AssocArray red_expect, algebra::Reduce(a, {"i"}, sr));
-
-  for (int threads : {1, 4}) {
-    SetThreadCount(threads);
-    spill::SetSpillOverride(true);
-    spill::SetSpillBudgetOverride(1);  // everything spills, maximally recursive
-    ASSERT_OK_AND_ASSIGN(AssocArray join_got, algebra::Join(a, b, sr));
-    ASSERT_OK_AND_ASSIGN(AssocArray red_got, algebra::Reduce(a, {"i"}, sr));
-    EXPECT_TRUE(join_got.table()->Equals(*join_expect.table()))
-        << "threads " << threads;
-    EXPECT_TRUE(red_got.table()->Equals(*red_expect.table()))
-        << "threads " << threads;
-    spill::ClearSpillOverride();
-    spill::ClearSpillBudgetOverride();
-  }
-  EXPECT_EQ(SpillManager::Global().live_files(), 0);
-}
-
-TEST(SpillIdentityTest, LoweredAggregateSpillsThroughGroupFold) {
-  SpillGuard guard;
-  TablePtr input = RandomTable(61, 500, 32);
-  AggregateOp op;
-  op.group_by = {"k"};
-  op.aggs = {AggSpec{AggFunc::kSum, Col("v"), "sv"},
-             AggSpec{AggFunc::kCount, nullptr, "n"},
-             AggSpec{AggFunc::kMax, Col("v"), "hi"}};
-
-  spill::SetSpillOverride(false);
-  SetThreadCount(1);
-  ASSERT_OK_AND_ASSIGN(TablePtr expect, algebra::LowerAggregate(input, op));
-
-  spill::SetSpillOverride(true);
-  spill::SetSpillBudgetOverride(512);
-  for (int threads : {1, 4}) {
-    SetThreadCount(threads);
-    ASSERT_OK_AND_ASSIGN(TablePtr got, algebra::LowerAggregate(input, op));
-    EXPECT_TRUE(got->Equals(*expect)) << "threads " << threads;
-  }
-  EXPECT_EQ(SpillManager::Global().live_files(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,14 +9,19 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "common/str_util.h"
 #include "expr/builder.h"
 #include "federation/coordinator.h"
 #include "telemetry/explain.h"
@@ -410,6 +415,49 @@ TEST(MetricsDeltaTest, RepeatedExecutesOnOneCoordinatorDoNotAccumulate) {
                               ->value() -
                           fragments0;
   EXPECT_EQ(fragments_cum, 4 * first.fragments);
+}
+
+// ---------------------------------------------------------------------------
+// Tracing under concurrent coordinators.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentTraceTest, CoordinatorsSharingATransportDoNotDeadlock) {
+  // Regression: spans read the simulated clock, which takes the transport's
+  // lock, while Transport::Send records spans under that same lock. Two
+  // coordinators on one cluster with tracing on must both finish. A
+  // lock-order inversion shows up as a hang, so the run waits with a
+  // deadline and aborts instead of hanging the suite.
+  TelemetryGuard guard;
+  Cluster cluster;
+  FillMatMulCluster(&cluster);
+  PlanPtr mm = Plan::MatMul(Plan::Scan("MA"), Plan::Scan("MB"), "c");
+  telemetry::SetEnabled(true);
+  std::atomic<int> failures{0};
+  auto client = [&](int i) {
+    CoordinatorOptions o;
+    o.thread_count = 1;
+    o.temp_namespace = StrCat("t", i);
+    Coordinator coord(&cluster, o);
+    for (int q = 0; q < 25; ++q) {
+      if (!coord.Execute(mm).ok()) failures.fetch_add(1);
+    }
+  };
+  std::packaged_task<void()> both([&] {
+    std::thread a(client, 0);
+    std::thread b(client, 1);
+    a.join();
+    b.join();
+  });
+  std::future<void> done = both.get_future();
+  std::thread runner(std::move(both));
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "traced concurrent executes did not finish in 60 s: "
+                 "deadlock\n");
+    std::abort();
+  }
+  runner.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 // ---------------------------------------------------------------------------
